@@ -6,7 +6,6 @@
 #include <fstream>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/full_lock.h"
@@ -705,11 +704,7 @@ void write_locked_circuit(const core::LockedCircuit& locked,
 }
 
 core::LockedCircuit read_locked_circuit(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
+  const std::string text = netlist::read_bench_text(path);
 
   core::LockedCircuit locked;
   locked.scheme = "file";

@@ -1,304 +1,476 @@
 #include "netlist/bench_io.h"
 
 #include <algorithm>
-#include <cctype>
+#include <charconv>
+#include <deque>
 #include <fstream>
-#include <map>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 namespace fl::netlist {
 
 namespace {
 
-std::string trim(std::string_view s) {
-  std::size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return std::string(s.substr(b, e - b));
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\v' ||
+         c == '\f';
 }
 
-std::string upper(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::toupper(c); });
-  return s;
+std::string_view trim(std::string_view s) {
+  std::size_t b = 0, e = s.size();
+  while (b < e && is_space(s[b])) ++b;
+  while (e > b && is_space(s[e - 1])) --e;
+  return s.substr(b, e - b);
+}
+
+// ASCII case-insensitive comparison against an upper-case keyword.
+bool keyword_is(std::string_view token, std::string_view keyword) {
+  if (token.size() != keyword.size()) return false;
+  for (std::size_t i = 0; i < token.size(); ++i) {
+    char c = token[i];
+    if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
+    if (c != keyword[i]) return false;
+  }
+  return true;
 }
 
 bool is_key_name(std::string_view name) {
   return name.starts_with("keyinput") || name.starts_with("KEYINPUT");
 }
 
-GateType parse_gate_type(const std::string& token, int line_no) {
-  const std::string t = upper(token);
-  if (t == "AND") return GateType::kAnd;
-  if (t == "NAND") return GateType::kNand;
-  if (t == "OR") return GateType::kOr;
-  if (t == "NOR") return GateType::kNor;
-  if (t == "XOR") return GateType::kXor;
-  if (t == "XNOR") return GateType::kXnor;
-  if (t == "NOT" || t == "INV") return GateType::kNot;
-  if (t == "BUF" || t == "BUFF") return GateType::kBuf;
-  if (t == "MUX") return GateType::kMux;
-  if (t == "CONST0") return GateType::kConst0;
-  if (t == "CONST1") return GateType::kConst1;
-  throw std::runtime_error("bench line " + std::to_string(line_no) +
-                           ": unknown gate type '" + token + "'");
-}
-
-struct PendingGate {
-  std::string name;
-  GateType type;
-  std::vector<std::string> fanin_names;
-  int line_no;
-};
-
-[[noreturn]] void fail(int line_no, const std::string& what) {
+[[noreturn]] void fail(std::size_t line_no, std::string_view what) {
   throw std::runtime_error("bench line " + std::to_string(line_no) + ": " +
-                           what);
+                           std::string(what));
 }
 
-// Signal names may not be empty or contain structural characters; catching
-// this here turns "garbage substring parsed as a name" into a line-numbered
-// parse error.
-void expect_signal_name(const std::string& name, int line_no,
+std::string quoted(std::string_view name) {
+  std::string out = "'";
+  out += name;
+  out += '\'';
+  return out;
+}
+
+GateType parse_gate_type(std::string_view token, std::size_t line_no) {
+  static constexpr struct {
+    std::string_view keyword;
+    GateType type;
+  } kTypes[] = {
+      {"AND", GateType::kAnd},       {"NAND", GateType::kNand},
+      {"OR", GateType::kOr},         {"NOR", GateType::kNor},
+      {"XOR", GateType::kXor},       {"XNOR", GateType::kXnor},
+      {"NOT", GateType::kNot},       {"INV", GateType::kNot},
+      {"BUF", GateType::kBuf},       {"BUFF", GateType::kBuf},
+      {"MUX", GateType::kMux},       {"CONST0", GateType::kConst0},
+      {"CONST1", GateType::kConst1},
+  };
+  for (const auto& t : kTypes) {
+    if (keyword_is(token, t.keyword)) return t.type;
+  }
+  fail(line_no, "unknown gate type " + quoted(token));
+}
+
+// Signal names may not be empty or contain structural characters or
+// whitespace; catching this here turns "garbage substring parsed as a name"
+// into a line-numbered parse error.
+void expect_signal_name(std::string_view name, std::size_t line_no,
                         const char* what) {
   if (name.empty()) fail(line_no, std::string("empty ") + what + " name");
-  if (name.find_first_of("()=,# \t") != std::string::npos) {
-    fail(line_no,
-         std::string("bad ") + what + " name '" + name + "'");
+  for (const char c : name) {
+    if (is_space(c) || c == '(' || c == ')' || c == '=' || c == ',' ||
+        c == '#') {
+      fail(line_no, std::string("bad ") + what + " name " + quoted(name));
+    }
   }
 }
 
-}  // namespace
+void expect_arity(GateType type, std::size_t n_fanin, std::string_view gate,
+                  std::size_t line_no) {
+  const int fixed = fixed_arity(type);
+  if (fixed >= 0 ? n_fanin == static_cast<std::size_t>(fixed) : n_fanin >= 2) {
+    return;
+  }
+  fail(line_no, "gate arity mismatch: " + quoted(gate) + " = " +
+                    std::string(to_string(type)) + " takes " +
+                    (fixed >= 0 ? std::to_string(fixed) : "at least 2") +
+                    " fanins, got " + std::to_string(n_fanin));
+}
 
-Netlist read_bench(std::istream& in, std::string name) {
-  Netlist netlist(std::move(name));
-  std::map<std::string, GateId> by_name;
-  std::vector<std::string> output_names;
-  std::vector<PendingGate> pending;
+// --- lexing ------------------------------------------------------------------
+// Every name is a view into the caller's text buffer, which outlives the
+// parse.
 
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
+struct Declaration {
+  std::string_view name;
+  std::size_t line_no;
+};
+
+struct PendingGate {
+  std::string_view name;
+  GateType type;
+  std::size_t fanin_begin;  // into BenchText::fanins
+  std::size_t fanin_count;
+  std::size_t line_no;
+};
+
+struct BenchText {
+  std::vector<Declaration> inputs;  // INPUT lines, keys included
+  std::vector<Declaration> outputs;
+  std::vector<PendingGate> gates;   // definition order
+  std::vector<std::string_view> fanins;
+};
+
+void lex_declaration(std::string_view text, std::size_t lpar,
+                     std::size_t line_no, BenchText& out) {
+  if (lpar == std::string_view::npos) {
+    fail(line_no, "malformed declaration (expected INPUT(name) or "
+                  "OUTPUT(name))");
+  }
+  const std::size_t rpar = text.find(')', lpar + 1);
+  if (rpar == std::string_view::npos) {
+    fail(line_no, "missing ')' in declaration");
+  }
+  if (!trim(text.substr(rpar + 1)).empty()) {
+    fail(line_no, "trailing characters after ')'");
+  }
+  const std::string_view kind = trim(text.substr(0, lpar));
+  const std::string_view arg = trim(text.substr(lpar + 1, rpar - lpar - 1));
+  if (keyword_is(kind, "INPUT")) {
+    expect_signal_name(arg, line_no, "input");
+    out.inputs.push_back({arg, line_no});
+  } else if (keyword_is(kind, "OUTPUT")) {
+    expect_signal_name(arg, line_no, "output");
+    out.outputs.push_back({arg, line_no});
+  } else {
+    fail(line_no, "expected INPUT/OUTPUT, got " + quoted(kind));
+  }
+}
+
+void lex_gate(std::string_view text, std::size_t eq, std::size_t line_no,
+              BenchText& out) {
+  const std::string_view lhs = trim(text.substr(0, eq));
+  expect_signal_name(lhs, line_no, "gate");
+  const std::string_view rhs = trim(text.substr(eq + 1));
+  if (rhs.empty()) fail(line_no, "missing gate expression after '='");
+  const std::size_t lpar = rhs.find('(');
+  if (lpar == std::string_view::npos) {
+    fail(line_no, "malformed gate definition (expected TYPE(args))");
+  }
+  const std::size_t rpar = rhs.find(')', lpar + 1);
+  if (rpar == std::string_view::npos) {
+    fail(line_no, "missing ')' in gate definition");
+  }
+  if (!trim(rhs.substr(rpar + 1)).empty()) {
+    fail(line_no, "trailing characters after ')'");
+  }
+  const GateType type = parse_gate_type(trim(rhs.substr(0, lpar)), line_no);
+  const std::size_t begin = out.fanins.size();
+  // An empty list is zero fanins; otherwise every comma-separated token
+  // must be a name (so "AND(a,)" and "AND(a,,b)" are errors).
+  const std::string_view args = trim(rhs.substr(lpar + 1, rpar - lpar - 1));
+  for (std::size_t pos = 0; !args.empty();) {
+    const std::size_t comma = args.find(',', pos);
+    const std::string_view fanin = trim(args.substr(
+        pos, comma == std::string_view::npos ? comma : comma - pos));
+    if (fanin.empty()) fail(line_no, "empty fanin name in " + quoted(lhs));
+    expect_signal_name(fanin, line_no, "fanin");
+    out.fanins.push_back(fanin);
+    if (comma == std::string_view::npos) break;
+    pos = comma + 1;
+  }
+  const std::size_t count = out.fanins.size() - begin;
+  expect_arity(type, count, lhs, line_no);
+  out.gates.push_back({lhs, type, begin, count, line_no});
+}
+
+BenchText lex(std::string_view text) {
+  BenchText out;
+  // Every gate sits on its own line and has at most one more fanin than
+  // its list has commas.
+  const std::size_t lines =
+      static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')) + 1;
+  out.gates.reserve(lines);
+  out.fanins.reserve(
+      lines + static_cast<std::size_t>(std::count(text.begin(), text.end(), ',')));
+  std::size_t line_no = 0;
+  for (std::size_t pos = 0; pos < text.size();) {
+    std::size_t end = text.find('\n', pos);
+    if (end == std::string_view::npos) end = text.size();
+    std::string_view line = text.substr(pos, end - pos);
+    pos = end + 1;
     ++line_no;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    const std::string text = trim(line);
-    if (text.empty()) continue;
-
-    const std::size_t lpar = text.find('(');
-    const std::size_t eq = text.find('=');
+    line = trim(line.substr(0, line.find('#')));
+    if (line.empty()) continue;
+    const std::size_t lpar = line.find('(');
+    const std::size_t eq = line.find('=');
     // A '(' before any '=' means the '=' (if present at all) sits inside the
     // argument list — route to the declaration branch so "OUTPUT(a=b)" is
     // rejected as a bad name instead of mangled by substring arithmetic.
-    if (eq == std::string::npos ||
-        (lpar != std::string::npos && lpar < eq)) {
-      // INPUT(x) or OUTPUT(x)
-      if (lpar == std::string::npos) {
-        fail(line_no, "malformed declaration (expected INPUT(name) or "
-                      "OUTPUT(name))");
+    if (eq == std::string_view::npos ||
+        (lpar != std::string_view::npos && lpar < eq)) {
+      lex_declaration(line, lpar, line_no, out);
+    } else {
+      lex_gate(line, eq, line_no, out);
+    }
+  }
+  return out;
+}
+
+// --- name index ----------------------------------------------------------------
+
+// Open-addressed name -> id table (linear probing) over views owned by the
+// caller. Grows to keep the load at most 2/3.
+class NameIndex {
+ public:
+  explicit NameIndex(std::size_t expected) { rehash(expected); }
+
+  // Adds name -> id; false (and no change) when the name is already present.
+  bool insert(std::string_view name, GateId id) {
+    if (3 * (size_ + 1) > 2 * slots_.size()) rehash(2 * size_ + 2);
+    const std::uint32_t hash = hash_of(name);
+    Slot& slot = slots_[probe(name, hash)];
+    if (slot.id != kNullGate) return false;
+    slot = Slot{name, hash, id};
+    ++size_;
+    return true;
+  }
+
+  // kNullGate when absent.
+  GateId find(std::string_view name) const {
+    return slots_[probe(name, hash_of(name))].id;
+  }
+
+ private:
+  struct Slot {
+    std::string_view name;
+    std::uint32_t hash = 0;
+    GateId id = kNullGate;  // kNullGate marks an empty slot
+  };
+
+  static std::uint32_t hash_of(std::string_view name) {
+    return static_cast<std::uint32_t>(std::hash<std::string_view>{}(name));
+  }
+
+  // Index of name's slot, or of the empty slot where it would go.
+  std::size_t probe(std::string_view name, std::uint32_t hash) const {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+      const Slot& slot = slots_[i];
+      if (slot.id == kNullGate ||
+          (slot.hash == hash && slot.name == name)) {
+        return i;
       }
-      const std::size_t rpar = text.find(')', lpar + 1);
-      if (rpar == std::string::npos) {
-        fail(line_no, "missing ')' in declaration");
+    }
+  }
+
+  void rehash(std::size_t expected) {
+    std::size_t capacity = 16;
+    while (2 * capacity < 3 * expected) capacity *= 2;
+    std::vector<Slot> old(capacity);
+    old.swap(slots_);
+    for (const Slot& slot : old) {
+      if (slot.id != kNullGate) slots_[probe(slot.name, slot.hash)] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+};
+
+// --- netlist construction ------------------------------------------------------
+
+struct ResolvedIds {
+  bool placeholder = false;     // an unnamed CONST0 precedes the gates
+  std::vector<GateId> fanins;   // parallel to BenchText::fanins
+  std::vector<GateId> outputs;  // parallel to BenchText::outputs
+};
+
+// Assigns ids without building anything: INPUT lines in declaration order,
+// then gates in definition order. When there are no inputs and the first
+// gate is logic, an unnamed CONST0 takes id 0 so that the placeholder
+// fanins of build() have a net to point at. Rejects names declared twice
+// and names used but never defined.
+ResolvedIds resolve(const BenchText& bench) {
+  NameIndex index(bench.inputs.size() + bench.gates.size());
+  for (std::size_t i = 0; i < bench.inputs.size(); ++i) {
+    const Declaration& in = bench.inputs[i];
+    if (!index.insert(in.name, static_cast<GateId>(i))) {
+      fail(in.line_no, "duplicate INPUT(" + std::string(in.name) + ")");
+    }
+  }
+  ResolvedIds ids;
+  ids.placeholder = bench.inputs.empty() && !bench.gates.empty() &&
+                    !is_source(bench.gates.front().type);
+  const GateId first = static_cast<GateId>(bench.inputs.size() +
+                                           (ids.placeholder ? 1 : 0));
+  for (std::size_t i = 0; i < bench.gates.size(); ++i) {
+    const PendingGate& g = bench.gates[i];
+    if (!index.insert(g.name, first + static_cast<GateId>(i))) {
+      fail(g.line_no, "duplicate definition of " + quoted(g.name));
+    }
+  }
+  ids.fanins.resize(bench.fanins.size());
+  for (const PendingGate& g : bench.gates) {
+    for (std::size_t k = g.fanin_begin; k < g.fanin_begin + g.fanin_count;
+         ++k) {
+      ids.fanins[k] = index.find(bench.fanins[k]);
+      if (ids.fanins[k] == kNullGate) {
+        fail(g.line_no, "undefined signal " + quoted(bench.fanins[k]));
       }
-      if (!trim(text.substr(rpar + 1)).empty()) {
-        fail(line_no, "trailing characters after ')'");
-      }
-      const std::string kind = upper(trim(text.substr(0, lpar)));
-      const std::string arg = trim(text.substr(lpar + 1, rpar - lpar - 1));
-      if (kind == "INPUT") {
-        expect_signal_name(arg, line_no, "input");
-        const GateId id = is_key_name(arg) ? netlist.add_key(arg)
-                                           : netlist.add_input(arg);
-        by_name[arg] = id;
-      } else if (kind == "OUTPUT") {
-        expect_signal_name(arg, line_no, "output");
-        output_names.push_back(arg);
-      } else {
-        fail(line_no, "expected INPUT/OUTPUT, got '" + kind + "'");
-      }
+    }
+  }
+  for (const Declaration& out : bench.outputs) {
+    ids.outputs.push_back(index.find(out.name));
+    if (ids.outputs.back() == kNullGate) {
+      fail(out.line_no, "OUTPUT(" + std::string(out.name) + ") never defined");
+    }
+  }
+  return ids;
+}
+
+Netlist build(BenchText bench, std::string name) {
+  const ResolvedIds ids = resolve(bench);
+  // The fanin names are resolved; free them before the netlist grows.
+  std::vector<std::string_view>().swap(bench.fanins);
+
+  Netlist netlist(std::move(name));
+  for (const Declaration& in : bench.inputs) {
+    if (is_key_name(in.name)) {
+      netlist.add_key(std::string(in.name));
+    } else {
+      netlist.add_input(std::string(in.name));
+    }
+  }
+  // Fanins may point forward or form cycles, so every logic gate starts on
+  // placeholder id 0 and is patched once all gates exist. Constants keep no
+  // name (only output ports carry it).
+  if (ids.placeholder) netlist.add_const(false);
+  const GateId first = static_cast<GateId>(netlist.num_gates());
+  std::vector<GateId> zeros;
+  for (const PendingGate& g : bench.gates) {
+    if (is_source(g.type)) {
+      netlist.add_const(g.type == GateType::kConst1);
       continue;
     }
-
-    // name = GATE(a, b, ...)
-    const std::string lhs = trim(text.substr(0, eq));
-    expect_signal_name(lhs, line_no, "gate");
-    const std::string rhs = trim(text.substr(eq + 1));
-    if (rhs.empty()) fail(line_no, "missing gate expression after '='");
-    const std::size_t glpar = rhs.find('(');
-    if (glpar == std::string::npos) {
-      fail(line_no, "malformed gate definition (expected TYPE(args))");
-    }
-    const std::size_t grpar = rhs.find(')', glpar + 1);
-    if (grpar == std::string::npos) {
-      fail(line_no, "missing ')' in gate definition");
-    }
-    if (!trim(rhs.substr(grpar + 1)).empty()) {
-      fail(line_no, "trailing characters after ')'");
-    }
-    PendingGate pg;
-    pg.name = lhs;
-    pg.type = parse_gate_type(trim(rhs.substr(0, glpar)), line_no);
-    pg.line_no = line_no;
-    const std::string arg_list = rhs.substr(glpar + 1, grpar - glpar - 1);
-    const std::string arg_list_trimmed = trim(arg_list);
-    if (!arg_list_trimmed.empty() && arg_list_trimmed.back() == ',') {
-      // getline-splitting silently drops a trailing empty token.
-      fail(line_no, "empty fanin name in '" + pg.name + "'");
-    }
-    std::stringstream args(arg_list);
-    std::string tok;
-    while (std::getline(args, tok, ',')) {
-      const std::string fanin = trim(tok);
-      if (fanin.empty()) {
-        // CONST0()/CONST1() legitimately have an empty list; an empty token
-        // *between* commas (or a dangling comma) is a parse error.
-        if (trim(arg_list).empty()) continue;
-        fail(line_no, "empty fanin name in '" + pg.name + "'");
-      }
-      expect_signal_name(fanin, line_no, "fanin");
-      pg.fanin_names.push_back(fanin);
-    }
-    pending.push_back(std::move(pg));
+    if (zeros.size() < g.fanin_count) zeros.resize(g.fanin_count, 0);
+    netlist.add_gate(g.type,
+                     std::span<const GateId>(zeros.data(), g.fanin_count),
+                     std::string(g.name));
   }
-
-  // Gates can be declared in any order; resolve names iteratively so we keep
-  // a (rough) definition order in the netlist. Cyclic definitions are allowed
-  // (Full-Lock can emit them), so any still-unresolved gates get placeholder
-  // ids in a second pass.
-  // First pass: create all gates with placeholder fanin, then patch.
-  for (const PendingGate& pg : pending) {
-    if (by_name.count(pg.name) != 0) {
-      throw std::runtime_error("bench line " + std::to_string(pg.line_no) +
-                               ": duplicate definition of '" + pg.name + "'");
-    }
-    GateId id;
-    if (pg.type == GateType::kConst0 || pg.type == GateType::kConst1) {
-      id = netlist.add_const(pg.type == GateType::kConst1);
-    } else {
-      // Temporary self-fanin placeholders with the right arity; patched below.
-      const std::size_t arity =
-          pg.fanin_names.empty() ? 1 : pg.fanin_names.size();
-      // add_gate validates arity; build a legal placeholder vector.
-      std::vector<GateId> placeholder(arity, 0);
-      if (netlist.num_gates() == 0) {
-        // Ensure some gate exists to point placeholders at.
-        netlist.add_const(false);
-      }
-      try {
-        id = netlist.add_gate(pg.type, std::move(placeholder), pg.name);
-      } catch (const std::exception& e) {
-        fail(pg.line_no, e.what());  // e.g. wrong arity for the gate type
-      }
-    }
-    by_name[pg.name] = id;
+  for (std::size_t i = 0; i < bench.gates.size(); ++i) {
+    const PendingGate& g = bench.gates[i];
+    if (is_source(g.type)) continue;
+    netlist.set_fanin(first + static_cast<GateId>(i),
+                      std::span<const GateId>(
+                          ids.fanins.data() + g.fanin_begin, g.fanin_count));
   }
-  for (const PendingGate& pg : pending) {
-    if (pg.type == GateType::kConst0 || pg.type == GateType::kConst1) continue;
-    std::vector<GateId> fanin;
-    fanin.reserve(pg.fanin_names.size());
-    for (const std::string& fn : pg.fanin_names) {
-      const auto it = by_name.find(fn);
-      if (it == by_name.end()) {
-        throw std::runtime_error("bench line " + std::to_string(pg.line_no) +
-                                 ": undefined signal '" + fn + "'");
-      }
-      fanin.push_back(it->second);
-    }
-    netlist.set_fanin(by_name.at(pg.name), std::move(fanin));
-  }
-
-  for (const std::string& on : output_names) {
-    const auto it = by_name.find(on);
-    if (it == by_name.end()) {
-      throw std::runtime_error("bench: OUTPUT(" + on + ") never defined");
-    }
-    netlist.mark_output(it->second, on);
+  for (std::size_t o = 0; o < bench.outputs.size(); ++o) {
+    netlist.mark_output(ids.outputs[o], std::string(bench.outputs[o].name));
   }
   netlist.validate();
   return netlist;
 }
 
-Netlist read_bench_string(const std::string& text, std::string name) {
-  std::istringstream in(text);
-  return read_bench(in, std::move(name));
+}  // namespace
+
+Netlist read_bench_string(std::string_view text, std::string name) {
+  return build(lex(text), std::move(name));
+}
+
+std::string read_bench_text(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot open bench file: " + path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  if (in.bad()) throw std::runtime_error("cannot read bench file: " + path);
+  return std::move(text).str();
 }
 
 Netlist read_bench_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open bench file: " + path);
+  const std::string text = read_bench_text(path);
   std::string name = path;
   const std::size_t slash = name.find_last_of('/');
   if (slash != std::string::npos) name.erase(0, slash + 1);
-  return read_bench(in, std::move(name));
+  return read_bench_string(text, std::move(name));
 }
 
 namespace {
 
-// Every gate needs a unique printable name; auto-name anonymous nets.
-std::vector<std::string> printable_names(const Netlist& netlist) {
-  std::vector<std::string> names(netlist.num_gates());
-  std::map<std::string, int> used;
-  for (std::size_t g = 0; g < netlist.num_gates(); ++g) {
-    const std::string& n = netlist.gate(static_cast<GateId>(g)).name;
-    if (!n.empty() && used.emplace(n, 1).second) {
-      names[g] = n;
+// Every gate needs a unique printable name: the first gate carrying a name
+// keeps it, anonymous and repeated names become the first free "n<k>".
+// Views point into the netlist or into `generated`.
+std::vector<std::string_view> printable_names(
+    const Netlist& netlist, std::deque<std::string>& generated) {
+  const std::size_t n = netlist.num_gates();
+  std::vector<std::string_view> names(n);
+  NameIndex used(n);
+  for (std::size_t g = 0; g < n; ++g) {
+    const std::string& name = netlist.gate_name(static_cast<GateId>(g));
+    if (!name.empty() && used.insert(name, static_cast<GateId>(g))) {
+      names[g] = name;
     }
   }
-  int counter = 0;
-  for (std::size_t g = 0; g < netlist.num_gates(); ++g) {
+  std::size_t counter = 0;
+  for (std::size_t g = 0; g < n; ++g) {
     if (!names[g].empty()) continue;
-    std::string candidate;
+    char buffer[24] = {'n'};
+    std::string_view candidate;
     do {
-      candidate = "n" + std::to_string(counter++);
-    } while (used.count(candidate) != 0);
-    used.emplace(candidate, 1);
-    names[g] = candidate;
+      const char* end =
+          std::to_chars(buffer + 1, buffer + sizeof buffer, counter++).ptr;
+      candidate = std::string_view(buffer, end - buffer);
+    } while (used.find(candidate) != kNullGate);
+    generated.emplace_back(candidate);
+    used.insert(generated.back(), static_cast<GateId>(g));
+    names[g] = generated.back();
   }
   return names;
 }
 
 }  // namespace
 
-void write_bench(const Netlist& netlist, std::ostream& out) {
-  const auto names = printable_names(netlist);
-  out << "# " << netlist.name() << " (" << netlist.num_inputs() << " inputs, "
-      << netlist.num_keys() << " keys, " << netlist.num_outputs()
-      << " outputs, " << netlist.num_logic_gates() << " gates)\n";
-  for (const GateId g : netlist.inputs()) out << "INPUT(" << names[g] << ")\n";
-  for (const GateId g : netlist.keys()) out << "INPUT(" << names[g] << ")\n";
-  for (const OutputPort& o : netlist.outputs()) {
-    out << "OUTPUT(" << names[o.gate] << ")\n";
-  }
+std::string write_bench_string(const Netlist& netlist) {
+  std::deque<std::string> generated;
+  const std::vector<std::string_view> names =
+      printable_names(netlist, generated);
+  std::string out = "# " + netlist.name() + " (" +
+                    std::to_string(netlist.num_inputs()) + " inputs, " +
+                    std::to_string(netlist.num_keys()) + " keys, " +
+                    std::to_string(netlist.num_outputs()) + " outputs, " +
+                    std::to_string(netlist.num_logic_gates()) + " gates)\n";
+  const auto declare = [&](std::string_view kind, GateId g) {
+    out += kind;
+    out += '(';
+    out += names[g];
+    out += ")\n";
+  };
+  for (const GateId g : netlist.inputs()) declare("INPUT", g);
+  for (const GateId g : netlist.keys()) declare("INPUT", g);
+  for (const OutputPort& o : netlist.outputs()) declare("OUTPUT", o.gate);
   for (std::size_t g = 0; g < netlist.num_gates(); ++g) {
-    const Gate& gate = netlist.gate(static_cast<GateId>(g));
+    const GateView gate = netlist.gate(static_cast<GateId>(g));
     if (gate.type == GateType::kInput || gate.type == GateType::kKey) continue;
-    out << names[g] << " = ";
-    switch (gate.type) {
-      case GateType::kConst0: out << "CONST0()"; break;
-      case GateType::kConst1: out << "CONST1()"; break;
-      default: {
-        out << to_string(gate.type) << "(";
-        for (std::size_t i = 0; i < gate.fanin.size(); ++i) {
-          if (i != 0) out << ", ";
-          out << names[gate.fanin[i]];
-        }
-        out << ")";
-      }
+    out += names[g];
+    out += " = ";
+    out += to_string(gate.type);  // constants print as CONST0() / CONST1()
+    out += '(';
+    for (std::size_t i = 0; i < gate.fanin.size(); ++i) {
+      if (i != 0) out += ", ";
+      out += names[gate.fanin[i]];
     }
-    out << "\n";
+    out += ")\n";
   }
+  return out;
 }
 
-std::string write_bench_string(const Netlist& netlist) {
-  std::ostringstream out;
-  write_bench(netlist, out);
-  return out.str();
+void write_bench(const Netlist& netlist, std::ostream& out) {
+  const std::string text = write_bench_string(netlist);
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 void write_bench_file(const Netlist& netlist, const std::string& path) {
-  std::ofstream out(path);
+  std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error("cannot write bench file: " + path);
   write_bench(netlist, out);
 }

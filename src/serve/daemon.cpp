@@ -95,8 +95,7 @@ Daemon::Daemon(ServeArgs args, JobRunner runner,
 
 Daemon::~Daemon() {
   stopping_.store(true, std::memory_order_relaxed);
-  if (listener_.has_value()) listener_->close();
-  if (accept_thread_.joinable()) accept_thread_.join();
+  stop_accepting();
   if (scheduler_.has_value()) scheduler_->drain();
   reap_readers(/*all=*/true);
   scheduler_.reset();  // before the journal: terminal events may journal
@@ -170,10 +169,17 @@ int Daemon::serve_forever(bool install_signals) {
 
 void Daemon::drain() {
   stopping_.store(true, std::memory_order_relaxed);
-  if (listener_.has_value()) listener_->close();  // stop accepting
+  stop_accepting();
   if (scheduler_.has_value()) scheduler_->drain();
-  if (accept_thread_.joinable()) accept_thread_.join();
   reap_readers(/*all=*/true);
+}
+
+void Daemon::stop_accepting() {
+  // The accept thread polls the listener's fd, so it is joined (it sees
+  // stopping_ within one poll period) before the fd is closed: closing it
+  // under the poll would race on the fd and could let the number be reused.
+  if (accept_thread_.joinable()) accept_thread_.join();
+  if (listener_.has_value()) listener_->close();
 }
 
 void Daemon::accept_loop() {

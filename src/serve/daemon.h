@@ -108,6 +108,8 @@ class Daemon {
                         std::uint64_t forced_id);
   void on_disconnect(const std::shared_ptr<ClientConn>& conn);
   void drain();
+  // Joins the accept thread, then closes the listener.
+  void stop_accepting();
 
   ServeArgs args_;
   JobRunner runner_;

@@ -299,15 +299,23 @@ void Scheduler::run_job(std::shared_ptr<Job> job) {
     // Decides the terminal state once a cancellation (of any origin) has
     // been observed.
     const auto cancelled_outcome = [&](const std::string& detail) {
-      if (job->timed_out) {
+      bool timed_out = false;
+      bool user_cancel = false;
+      std::string cancel_reason;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        timed_out = job->timed_out;
+        user_cancel = job->user_cancel;
+        cancel_reason = job->cancel_reason;
+      }
+      if (timed_out) {
         finish_job(job, JobState::kFailed,
                    "wall budget exceeded" +
                        (detail.empty() ? "" : " (" + detail + ")"),
                    nullptr);
-      } else if (job->user_cancel) {
+      } else if (user_cancel) {
         finish_job(job, JobState::kCancelled,
-                   job->cancel_reason.empty() ? "cancelled"
-                                              : job->cancel_reason,
+                   cancel_reason.empty() ? "cancelled" : cancel_reason,
                    nullptr);
       } else {
         finish_job(job, JobState::kInterrupted, "daemon draining", nullptr);

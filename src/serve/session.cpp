@@ -34,7 +34,10 @@ ClientConn::ClientConn(int fd, std::uint64_t conn_id,
       conn_id_(conn_id),
       faults_(faults != nullptr ? faults : &runtime::FaultInjector::global()) {}
 
-ClientConn::~ClientConn() { close(); }
+ClientConn::~ClientConn() {
+  close();
+  ::close(fd_);
+}
 
 bool ClientConn::send_line(const std::string& line) {
   if (closed()) return false;
@@ -88,9 +91,11 @@ void ClientConn::read_lines(
 }
 
 void ClientConn::close() {
+  // Only shut the socket down: the reader thread or a streaming worker may
+  // still be inside recv/send on fd_, so releasing the descriptor number
+  // waits for the destructor (the last owner).
   if (closed_.exchange(true, std::memory_order_relaxed)) return;
   ::shutdown(fd_, SHUT_RDWR);
-  ::close(fd_);
 }
 
 UnixListener::UnixListener(const std::string& path) : path_(path) {

@@ -49,7 +49,8 @@ class ClientConn {
   // reader thread.
   void read_lines(const std::function<void(const std::string&)>& on_line);
 
-  // Shuts the socket down (unblocking read_lines) and closes the fd once.
+  // Shuts the socket down once (unblocking read_lines and failing further
+  // sends). The fd itself is closed by the destructor.
   void close();
 
  private:
