@@ -3,8 +3,8 @@
 //
 // Per profile the bench runs the full substrate path end-to-end:
 //   generate -> graph caches (topo/fanout/levels) -> structural hashing
-//   (optimize) -> oracle simulation throughput, legacy 64-bit run() vs the
-//   wide run_batch() engine -> Full-Lock PLR lock -> iteration-bounded SAT
+//   (optimize) -> oracle simulation throughput, per-word 64-bit queries vs
+//   wide run_batch() blocks -> Full-Lock PLR lock -> iteration-bounded SAT
 //   attack -> verify_unlocks with the correct key.
 //
 // Emits one JSONL record per profile plus a trailing summary record to
@@ -65,7 +65,7 @@ struct ProfileResult {
   double base_patterns_per_s = 0.0;
   double wide_patterns_per_s = 0.0;
   double speedup = 0.0;
-  bool match_ok = false;       // wide outputs == legacy outputs
+  bool match_ok = false;       // wide outputs == per-word outputs
   bool accounting_ok = false;  // oracle charged exactly the patterns run
   // Lock + bounded attack + verify. The attack runs twice over the same
   // lock: once with the legacy full encoding (no preprocessing) and once
@@ -104,9 +104,11 @@ double per_iter(long long added, std::uint64_t iters) {
          static_cast<double>(std::max<std::uint64_t>(iters, 1));
 }
 
-// Legacy-vs-wide oracle simulation throughput over the same random pattern
-// matrix. The legacy path is the pre-arena behavior: one 64-pattern run()
-// per word with a fresh value vector each call.
+// Per-word vs wide oracle simulation throughput over the same random
+// pattern matrix: one 64-pattern query_words() per word (word-lane sweeps,
+// a fresh value vector each call) against one query_batch() over simd
+// blocks. Both run the same compiled program, so match_ok checks the two
+// lanes against each other.
 void run_throughput(const fl::netlist::Netlist& original, std::size_t n_words,
                     int repeat, ProfileResult& r) {
   const std::size_t n_in = original.num_inputs();

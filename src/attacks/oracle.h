@@ -13,6 +13,11 @@
 
 namespace fl::attacks {
 
+// Every query runs the circuit's compiled netlist::Simulator program (built
+// once, here in the constructor): query() and query_words() sweep one
+// 64-bit word, query_batch() sweeps words or 512-bit blocks (see
+// simulator.h). Query cost is therefore one pass over dense slots, not a
+// walk of the netlist.
 class Oracle {
  public:
   // `original` must be key-free and acyclic.
@@ -30,8 +35,8 @@ class Oracle {
   // Wide batch over net-major matrices: inputs[i * n_words + w] is word w of
   // input i (inputs.size() == num_inputs * n_words) and outputs is written
   // likewise (num_outputs * n_words). Charges `n_patterns` queries
-  // (n_patterns <= n_words * 64). Runs through the SIMD simulator with a
-  // thread_local scratch, so repeated large batches do not allocate.
+  // (n_patterns <= n_words * 64). Uses a thread_local scratch, so repeated
+  // large batches do not allocate.
   void query_batch(std::span<const netlist::Word> inputs, std::size_t n_words,
                    std::size_t n_patterns,
                    std::span<netlist::Word> outputs) const;

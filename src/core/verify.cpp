@@ -1,6 +1,8 @@
 #include "core/verify.h"
 
 #include <bit>
+#include <stdexcept>
+#include <string>
 
 #include "cnf/miter.h"
 #include "netlist/simulator.h"
@@ -16,6 +18,13 @@ std::vector<Word> random_words(std::size_t n, std::mt19937_64& rng) {
   std::vector<Word> w(n);
   for (Word& x : w) x = rng();
   return w;
+}
+
+// Zero or negative rounds would compare nothing and accept any key.
+void check_rounds(int rounds, const char* what) {
+  if (rounds < 1) {
+    throw std::invalid_argument(std::string(what) + ": rounds must be >= 1");
+  }
 }
 
 std::vector<Word> key_words(const std::vector<bool>& key) {
@@ -52,7 +61,7 @@ std::pair<std::uint64_t, std::uint64_t> diff_batch(
     const std::vector<bool>& key, int rounds, std::mt19937_64& rng) {
   const std::size_t n_in = gold.netlist().num_inputs();
   const std::size_t n_out = gold.netlist().num_outputs();
-  const std::size_t n_words = static_cast<std::size_t>(rounds < 0 ? 0 : rounds);
+  const std::size_t n_words = static_cast<std::size_t>(rounds);
   std::vector<Word> inputs(n_in * n_words);
   for (std::size_t r = 0; r < n_words; ++r) {
     for (std::size_t i = 0; i < n_in; ++i) inputs[i * n_words + r] = rng();
@@ -75,6 +84,7 @@ std::pair<std::uint64_t, std::uint64_t> diff_batch(
 bool verify_unlocks(const Netlist& original, const Netlist& locked,
                     const std::vector<bool>& key, int rounds, std::uint64_t seed,
                     bool also_sat_check) {
+  check_rounds(rounds, "verify_unlocks");
   if (original.num_inputs() != locked.num_inputs() ||
       original.num_outputs() != locked.num_outputs()) {
     return false;
@@ -100,6 +110,7 @@ bool verify_unlocks(const Netlist& original, const Netlist& locked,
 
 double error_rate(const Netlist& original, const Netlist& locked,
                   const std::vector<bool>& key, int rounds, std::uint64_t seed) {
+  check_rounds(rounds, "error_rate");
   std::mt19937_64 rng(seed);
   const netlist::Simulator gold(original);
   const bool cyclic = locked.is_cyclic();
@@ -120,6 +131,7 @@ double error_rate(const Netlist& original, const Netlist& locked,
 CorruptionStats output_corruption(const Netlist& original,
                                   const LockedCircuit& locked, int num_keys,
                                   int rounds_per_key, std::uint64_t seed) {
+  check_rounds(rounds_per_key, "output_corruption");
   std::mt19937_64 rng(seed);
   CorruptionStats stats;
   for (int k = 0; k < num_keys; ++k) {

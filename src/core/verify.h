@@ -11,7 +11,8 @@ namespace fl::core {
 // Checks that `locked` under `key` matches `original` on `rounds` x 64
 // random patterns (relaxation simulation if the locked netlist is cyclic).
 // For acyclic locked netlists, pass `also_sat_check` to additionally run a
-// complete SAT equivalence proof.
+// complete SAT equivalence proof. Throws std::invalid_argument if
+// rounds < 1 (no pattern would be compared, so every key would pass).
 bool verify_unlocks(const netlist::Netlist& original,
                     const netlist::Netlist& locked,
                     const std::vector<bool>& key, int rounds, std::uint64_t seed,
@@ -26,14 +27,16 @@ inline bool verify_unlocks(const netlist::Netlist& original,
 
 // Fraction of (pattern, output-bit) pairs that differ from the original
 // under `key`, over `rounds` x 64 random patterns. Patterns that fail to
-// converge (cyclic oscillation) count as fully corrupted.
+// converge (cyclic oscillation) count as fully corrupted. Throws
+// std::invalid_argument if rounds < 1.
 double error_rate(const netlist::Netlist& original,
                   const netlist::Netlist& locked, const std::vector<bool>& key,
                   int rounds, std::uint64_t seed);
 
 // Average error rate over `num_keys` uniformly random keys — the paper's
 // "output corruption" claim (Full-Lock corrupts heavily under wrong keys,
-// unlike SARLock/Anti-SAT point functions).
+// unlike SARLock/Anti-SAT point functions). Throws std::invalid_argument
+// if rounds_per_key < 1.
 struct CorruptionStats {
   double mean_error_rate = 0.0;
   double min_error_rate = 1.0;

@@ -81,6 +81,53 @@ TEST(Simulator, StimulusWidthChecked) {
   EXPECT_THROW(sim.run(wrong, {}), std::invalid_argument);
 }
 
+TEST(Simulator, ThrowsAfterStructuralEdit) {
+  // The compiled program is a snapshot: once the netlist grows, every entry
+  // point refuses to answer for the old circuit.
+  Netlist n;
+  const GateId a = n.add_input("a");
+  const GateId b = n.add_input("b");
+  const GateId g = n.add_gate(GateType::kAnd, {a, b});
+  n.mark_output(g, "y");
+  const Simulator sim(n);
+  const std::vector<Word> zeros(2, 0);
+  EXPECT_EQ(sim.run(zeros, {}), std::vector<Word>{0});
+
+  n.mark_output(n.add_gate(GateType::kNot, {g}), "z");
+  EXPECT_EQ(eval_once(n, {false, false}, {}), (std::vector<bool>{false, true}));
+  EXPECT_THROW(sim.run(zeros, {}), std::logic_error);
+  EXPECT_THROW(sim.run_full(zeros, {}), std::logic_error);
+  Simulator::Scratch scratch;
+  std::vector<Word> out(2);
+  EXPECT_THROW(sim.run_batch(zeros, {}, 1, scratch, out), std::logic_error);
+
+  // In-place edits bump the generation too.
+  const Simulator fresh(n);
+  n.retype(g, GateType::kOr);
+  EXPECT_THROW(fresh.run(zeros, {}), std::logic_error);
+}
+
+TEST(Simulator, OutputPortsAreReadLive) {
+  // Port edits on existing nets do not change the compiled structure; the
+  // simulator reads the current ports on every run.
+  Netlist n;
+  const GateId a = n.add_input("a");
+  const GateId b = n.add_input("b");
+  const GateId g = n.add_gate(GateType::kXor, {a, b});
+  n.mark_output(g, "y");
+  const Simulator sim(n);
+  const std::vector<Word> in{0b1100, 0b1010};
+  n.mark_output(a, "a_out");
+  EXPECT_EQ(sim.run(in, {}), (std::vector<Word>{0b0110, 0b1100}));
+  n.clear_outputs();
+  n.mark_output(b, "b_out");
+  EXPECT_EQ(sim.run(in, {}), std::vector<Word>{0b1010});
+  Simulator::Scratch scratch;
+  std::vector<Word> out(1);
+  sim.run_batch(in, {}, 1, scratch, out);
+  EXPECT_EQ(out, std::vector<Word>{0b1010});
+}
+
 TEST(SimulateCyclic, MatchesAcyclicOnDag) {
   // On an acyclic netlist, relaxation must agree with the topological sweep.
   const Netlist c17 = make_c17();

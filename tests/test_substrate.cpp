@@ -129,8 +129,9 @@ TEST(Arena, GrowingSetFaninRelocatesSegment) {
 
 // --- wide SIMD simulation -------------------------------------------------
 
-// run_batch must agree with the legacy per-word run() on random circuits,
-// including a partial final block (n_words not a multiple of kSimdWords).
+// run_batch's simd-block lane must agree with per-word run() (the word lane)
+// on random circuits, including a partial final block (n_words not a
+// multiple of kSimdWords).
 TEST(WideSim, MatchesLegacyRunOnRandomCircuits) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     const Netlist net = random_circuit(400, seed);

@@ -40,6 +40,28 @@ TEST(VerifyUnlocks, InterfaceMismatchIsFalse) {
   EXPECT_FALSE(verify_unlocks(c17, other, {}, 1, 1));
 }
 
+TEST(VerifyUnlocks, NonPositiveRoundsRejected) {
+  // With no rounds nothing is compared: a wrong key must not pass by
+  // default, so rounds < 1 is a caller error on every entry point.
+  const Netlist original = netlist::make_circuit("c432", 1);
+  lock::RllConfig rll;
+  rll.num_keys = 16;
+  const LockedCircuit locked = lock::rll_lock(original, rll);
+  std::vector<bool> wrong = locked.correct_key;
+  wrong.flip();
+  ASSERT_FALSE(verify_unlocks(original, locked.netlist, wrong, 1, 1));
+  for (const int rounds : {0, -3}) {
+    EXPECT_THROW(verify_unlocks(original, locked.netlist, wrong, rounds, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(verify_unlocks(original, locked, rounds, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(error_rate(original, locked.netlist, wrong, rounds, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(output_corruption(original, locked, 4, rounds, 1),
+                 std::invalid_argument);
+  }
+}
+
 TEST(ErrorRate, ZeroForCorrectKey) {
   const Netlist original = netlist::make_circuit("c499", 4);
   const LockedCircuit locked =
