@@ -2,7 +2,8 @@
 // scale (Table-5-shaped synthetic circuits scaled to 64K–1M gates).
 //
 // Per profile the bench runs the full substrate path end-to-end:
-//   generate -> graph caches (topo/fanout/levels) -> structural hashing
+//   generate -> graph caches (topo/fanout/levels) -> .bench write and
+//   re-read (checked against the generated netlist) -> structural hashing
 //   (optimize) -> oracle simulation throughput, per-word 64-bit queries vs
 //   wide run_batch() blocks -> Full-Lock PLR lock -> iteration-bounded SAT
 //   attack -> verify_unlocks with the correct key.
@@ -11,7 +12,9 @@
 // BENCH_netlist.json (--out PATH). Wall-clock and throughput fields carry
 // the `_s` suffix (the only fields allowed to differ between runs);
 // `speedup` follows the bench_solver precedent. The oracle accounting
-// check (`accounting_ok`) asserts num_queries() == patterns evaluated.
+// check (`accounting_ok`) asserts num_queries() == patterns evaluated;
+// `round_trip_ok` asserts that the re-read .bench equals the generated
+// netlist.
 //
 // Flags:
 //   --smoke       synth64k only, small pattern counts (CI sanitizers)
@@ -33,6 +36,7 @@
 #include "bench/bench_util.h"
 #include "core/full_lock.h"
 #include "core/verify.h"
+#include "netlist/bench_io.h"
 #include "netlist/optimize.h"
 #include "netlist/profiles.h"
 #include "netlist/simd.h"
@@ -56,6 +60,10 @@ struct ProfileResult {
   double gen_s = 0.0;
   double graph_build_s = 0.0;
   double graph_requery_s = 0.0;
+  std::size_t bench_bytes = 0;
+  double bench_write_s = 0.0;
+  double bench_read_s = 0.0;
+  bool round_trip_ok = false;  // re-read netlist == generated netlist
   double optimize_s = 0.0;
   fl::netlist::OptimizeStats opt_stats;
   // Throughput suite (min wall over --repeat runs).
@@ -98,6 +106,28 @@ struct ProfileResult {
   double verify_s = 0.0;
   double total_wall_s = 0.0;
 };
+
+// Same gate ids, types, names and fanin lists, inputs, keys and output
+// nets. Port names are not compared: the writer names a port after its net.
+bool same_structure(const fl::netlist::Netlist& a,
+                    const fl::netlist::Netlist& b) {
+  if (a.num_gates() != b.num_gates() ||
+      !std::ranges::equal(a.inputs(), b.inputs()) ||
+      !std::ranges::equal(a.keys(), b.keys()) ||
+      a.num_outputs() != b.num_outputs()) {
+    return false;
+  }
+  for (GateId g = 0; g < a.num_gates(); ++g) {
+    if (a.gate_type(g) != b.gate_type(g) || a.gate_name(g) != b.gate_name(g) ||
+        !std::ranges::equal(a.fanin(g), b.fanin(g))) {
+      return false;
+    }
+  }
+  for (std::size_t o = 0; o < a.num_outputs(); ++o) {
+    if (a.outputs()[o].gate != b.outputs()[o].gate) return false;
+  }
+  return true;
+}
 
 double per_iter(long long added, std::uint64_t iters) {
   return static_cast<double>(added) /
@@ -174,6 +204,17 @@ ProfileResult run_profile(const fl::netlist::BenchmarkProfile& profile,
   start = Clock::now();
   for (int i = 0; i < 1000; ++i) (void)original.topo_span();
   r.graph_requery_s = seconds_since(start) / 1000.0;
+
+  // .bench round trip through one in-memory buffer.
+  start = Clock::now();
+  const std::string text = fl::netlist::write_bench_string(original);
+  r.bench_write_s = seconds_since(start);
+  r.bench_bytes = text.size();
+  start = Clock::now();
+  const fl::netlist::Netlist reread =
+      fl::netlist::read_bench_string(text, original.name());
+  r.bench_read_s = seconds_since(start);
+  r.round_trip_ok = same_structure(original, reread);
 
   start = Clock::now();
   const fl::netlist::Netlist optimized =
@@ -300,10 +341,12 @@ int main(int argc, char** argv) {
       results.push_back(run_profile(*profile, n_words, repeat, attack_iters));
       const ProfileResult& r = results.back();
       std::printf(
-          "%-10s %8zu gates  gen %.2fs  graph %.2fs  opt %.2fs  "
+          "%-10s %8zu gates  gen %.2fs  graph %.2fs  bench w/r %.2f/%.2fs%s  "
+          "opt %.2fs  "
           "sim %.2fx (%.0f -> %.0f pat/s)  attack %s/%llu  "
           "clauses/iter %.0f -> %.0f (%.1fx)  verify %s\n",
-          r.name.c_str(), r.gates, r.gen_s, r.graph_build_s, r.optimize_s,
+          r.name.c_str(), r.gates, r.gen_s, r.graph_build_s, r.bench_write_s,
+          r.bench_read_s, r.round_trip_ok ? "" : " MISMATCH", r.optimize_s,
           r.speedup, r.base_patterns_per_s, r.wide_patterns_per_s,
           r.attack_status.c_str(),
           static_cast<unsigned long long>(r.attack_iterations),
@@ -320,7 +363,7 @@ int main(int argc, char** argv) {
       min_speedup = std::min(min_speedup, r.speedup);
       min_clause_reduction = std::min(min_clause_reduction, r.clause_reduction);
       all_ok = all_ok && r.match_ok && r.accounting_ok && r.verify_ok &&
-               r.encode_ok && r.keys_agree;
+               r.encode_ok && r.keys_agree && r.round_trip_ok;
     }
     const double geomean_speedup =
         results.empty()
@@ -344,6 +387,8 @@ int main(int argc, char** argv) {
           .field("patterns", r.patterns)
           .field("match_ok", r.match_ok)
           .field("accounting_ok", r.accounting_ok)
+          .field("bench_bytes", r.bench_bytes)
+          .field("round_trip_ok", r.round_trip_ok)
           .field("key_bits", r.key_bits)
           .field("attack_status", r.attack_status)
           .field("legacy_attack_status", r.legacy_attack_status)
@@ -362,6 +407,8 @@ int main(int argc, char** argv) {
           .field("gen_s", r.gen_s)
           .field("graph_build_s", r.graph_build_s)
           .field("graph_requery_s", r.graph_requery_s)
+          .field("bench_write_s", r.bench_write_s)
+          .field("bench_read_s", r.bench_read_s)
           .field("optimize_s", r.optimize_s)
           .field("base_wall_s", r.base_wall_s)
           .field("wide_wall_s", r.wide_wall_s)

@@ -119,6 +119,14 @@ GateId Netlist::append_gate(GateType type, std::span<const GateId> fanin,
   return id;
 }
 
+void Netlist::reserve(std::size_t gates, std::size_t fanin_pins) {
+  type_.reserve(gates);
+  fanin_begin_.reserve(gates);
+  fanin_count_.reserve(gates);
+  gate_name_.reserve(gates);
+  fanin_arena_.reserve(fanin_pins);
+}
+
 GateId Netlist::add_input(std::string name) {
   const GateId id = append_gate(GateType::kInput, {}, std::move(name));
   inputs_.push_back(id);
@@ -255,7 +263,13 @@ const Netlist::GraphCache& Netlist::graph() const {
 
   // Fanout CSR (deduplicated, ascending per row). Consumers are visited in
   // ascending id order, so rows come out sorted and duplicates from one
-  // consumer's repeated pins land adjacently.
+  // consumer's repeated pins land adjacently. The same pass counts each
+  // consumer's distinct fanins: its in-degree over the dedup CSR.
+  struct Node {
+    std::uint32_t pending;  // distinct fanins not yet in topological order
+    int level;
+  };
+  std::vector<Node> node(n, Node{0, 0});
   cache_.fanout_begin.assign(n + 1, 0);
   for (std::size_t g = 0; g < n; ++g) {
     for (const GateId f : fanin(static_cast<GateId>(g))) {
@@ -277,6 +291,7 @@ const Netlist::GraphCache& Netlist::graph() const {
       }
       cache_.fanout_arena[at] = static_cast<GateId>(g);
       ++fill[f];
+      ++node[g].pending;
     }
   }
   // Compact out the dedup holes row by row.
@@ -292,42 +307,33 @@ const Netlist::GraphCache& Netlist::graph() const {
   cache_.fanout_begin[n] = write;
   cache_.fanout_arena.resize(write);
 
-  // Kahn's algorithm over the dedup CSR; a gate reading the same net k
-  // times has its pending count decremented by k at once.
-  std::vector<std::uint32_t> pending(n);
-  for (std::size_t g = 0; g < n; ++g) pending[g] = fanin_count_[g];
+  // Kahn's algorithm (FIFO) over the dedup CSR: each fanout entry retires
+  // one distinct fanin of its consumer and relaxes the consumer's level.
+  // A gate's level is final when it is dequeued, since all its fanins were
+  // dequeued before it.
   cache_.topo.clear();
   cache_.topo.reserve(n);
   for (std::size_t g = 0; g < n; ++g) {
-    if (pending[g] == 0) cache_.topo.push_back(static_cast<GateId>(g));
+    if (node[g].pending == 0) cache_.topo.push_back(static_cast<GateId>(g));
   }
   for (std::size_t head = 0; head < cache_.topo.size(); ++head) {
     const GateId g = cache_.topo[head];
+    const int next_level = node[g].level + 1;
     for (std::uint32_t i = cache_.fanout_begin[g];
          i < cache_.fanout_begin[g + 1]; ++i) {
       const GateId out = cache_.fanout_arena[i];
-      std::uint32_t edges = 0;
-      for (const GateId f : fanin(out)) {
-        if (f == g) ++edges;
-      }
-      pending[out] -= edges;
-      if (pending[out] == 0) cache_.topo.push_back(out);
+      Node& consumer = node[out];
+      consumer.level = std::max(consumer.level, next_level);
+      if (--consumer.pending == 0) cache_.topo.push_back(out);
     }
   }
   cache_.cyclic = cache_.topo.size() != n;
-  if (cache_.cyclic) cache_.topo.clear();
-
-  // Levels (acyclic only).
   cache_.levels.clear();
-  if (!cache_.cyclic) {
-    cache_.levels.assign(n, 0);
-    for (const GateId g : cache_.topo) {
-      int lvl = 0;
-      for (const GateId f : fanin(g)) {
-        lvl = std::max(lvl, cache_.levels[f] + 1);
-      }
-      cache_.levels[g] = lvl;
-    }
+  if (cache_.cyclic) {
+    cache_.topo.clear();
+  } else {
+    cache_.levels.resize(n);
+    for (std::size_t g = 0; g < n; ++g) cache_.levels[g] = node[g].level;
   }
 
   cache_generation_.store(generation_, std::memory_order_release);

@@ -7,13 +7,13 @@
 // gates, appending key inputs) and the queries used by attacks (topological
 // order, cycle detection, fanout maps).
 //
-// Graph queries (topological order, fanout CSR, levels) are computed once
-// and cached against a structural-edit generation counter: any edit bumps
-// the generation and the next query rebuilds. The cached spans returned by
-// topo_span()/fanout()/levels_span() stay valid until the next structural
-// edit, like iterators into a std::vector. Lazy cache fills are serialized
-// by an internal mutex, so concurrent const queries are safe; concurrent
-// edits are not (usual container rules).
+// Graph queries (topological order, fanout CSR, levels) are computed once,
+// in one sweep, and cached against a structural-edit generation counter:
+// any edit bumps the generation and the next query rebuilds. The cached
+// spans returned by topo_span()/fanout()/levels_span() stay valid until the
+// next structural edit, like iterators into a std::vector. Lazy cache fills
+// are serialized by an internal mutex, so concurrent const queries are safe;
+// concurrent edits are not (usual container rules).
 #pragma once
 
 #include <atomic>
@@ -44,6 +44,10 @@ class Netlist {
   ~Netlist() = default;
 
   // --- construction -------------------------------------------------------
+  // Presizes the gate arrays for `gates` gates in total and the fanin arena
+  // for `fanin_pins` pins in total, so a bulk build (e.g. the .bench reader)
+  // appends without regrowing. Changes nothing observable.
+  void reserve(std::size_t gates, std::size_t fanin_pins);
   GateId add_input(std::string name);
   GateId add_key(std::string name);
   GateId add_const(bool value);
@@ -136,6 +140,9 @@ class Netlist {
   std::vector<std::size_t> type_histogram() const;
 
  private:
+  // Built in one sweep: the fanout fill also counts each consumer's
+  // distinct fanins (its Kahn in-degree), and levels are relaxed during the
+  // FIFO Kahn walk (see graph()).
   struct GraphCache {
     bool cyclic = false;
     std::vector<GateId> topo;             // empty when cyclic

@@ -364,5 +364,42 @@ TEST(BenchIo, WriterNamesAnonymousAndRepeatedNets) {
             "n2 = OR(a, n0)\nn3 = NOT(n2)\n");
 }
 
+// The reader tells keys from primary inputs by the keyinput/KEYINPUT name
+// prefix alone, so the writer refuses any net whose name would come back in
+// the other role, naming the net.
+void expect_role_error(const Netlist& n, const std::string& net) {
+  try {
+    write_bench_string(n);
+    ADD_FAILURE() << "expected a role error naming " << net;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + net + "'"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(BenchIo, WriterRejectsKeyWithoutKeyinputPrefix) {
+  Netlist n;
+  const GateId a = n.add_input("a");
+  const GateId k = n.add_key("k");
+  n.mark_output(n.add_gate(GateType::kXor, {a, k}, "y"), "y");
+  expect_role_error(n, "k");
+}
+
+TEST(BenchIo, WriterRejectsInputWithKeyinputPrefix) {
+  Netlist n;
+  const GateId a = n.add_input("keyinput_data");
+  const GateId k = n.add_key("keyinput0");
+  n.mark_output(n.add_gate(GateType::kXor, {a, k}, "y"), "y");
+  expect_role_error(n, "keyinput_data");
+}
+
+TEST(BenchIo, WriterRejectsAnonymousKey) {
+  Netlist n;
+  const GateId a = n.add_input("a");
+  const GateId k = n.add_key("");  // printed as n<k>
+  n.mark_output(n.add_gate(GateType::kXor, {a, k}, "y"), "y");
+  expect_role_error(n, "n0");
+}
+
 }  // namespace
 }  // namespace fl::netlist
