@@ -5,8 +5,9 @@
 // BENCH_solver.json (--out PATH), so the solver's perf trajectory is
 // recorded per PR (the sanitizer CI uploads the --smoke variant as an
 // artifact). Wall-clock fields carry the usual `_s` suffix; everything
-// else is deterministic, so two runs of the same binary diff clean modulo
-// `_s` fields.
+// else is deterministic, so two runs of the same binary on the same host
+// diff clean modulo `_s` fields. Every record carries the host's `nproc`:
+// the --threads rows only mean something next to the cores they ran on.
 //
 // Flags:
 //   --smoke       tiny workload set for CI (seconds, not minutes)
@@ -23,6 +24,7 @@
 #include <cstring>
 #include <exception>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "attacks/oracle.h"
@@ -256,6 +258,7 @@ int main(int argc, char** argv) {
         cps_samples > 0 ? std::exp(log_cps / static_cast<double>(cps_samples))
                         : 0.0;
 
+    const unsigned nproc = std::max(1u, std::thread::hardware_concurrency());
     std::ofstream file = fl::runtime::open_jsonl(out_path);
     fl::runtime::JsonlSink sink(file);
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -264,7 +267,8 @@ int main(int argc, char** argv) {
       o.field("bench", "bench_solver")
           .field("suite", r.suite)
           .field("workload", r.name)
-          .field("status", r.status);
+          .field("status", r.status)
+          .field("nproc", nproc);
       append_solver_stat_fields(o, r.stats);
       o.field("conflicts_per_s",
               r.wall_s > 0.0 ? static_cast<double>(r.conflicts) / r.wall_s
@@ -285,6 +289,7 @@ int main(int argc, char** argv) {
         .field("workloads", results.size())
         .field("smoke", smoke)
         .field("threads", threads)
+        .field("nproc", nproc)
         .field("geomean_conflicts_per_s", geomean_cps)
         .field("geomean_wall_s", geomean_wall)
         .field("total_wall_s", total_wall);

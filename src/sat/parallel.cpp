@@ -33,6 +33,15 @@ std::uint64_t clause_hash(std::span<const Lit> lits) {
   return h;
 }
 
+// Saved-phase jitter for worker i > 0: workers start their first descent
+// into different corners of the assignment space (decisions otherwise
+// cluster on the all-false default and the workers shadow each other).
+bool jitter_phase(int i, Var v) {
+  const std::uint64_t h = splitmix64((static_cast<std::uint64_t>(i) << 32) ^
+                                     static_cast<std::uint64_t>(v));
+  return (h & 1u) != 0;
+}
+
 // Auto cube depth: enough cubes that every worker keeps a backlog (load
 // balancing against heavy-tailed cube runtimes), capped so the number of
 // incremental solves stays bounded.
@@ -221,6 +230,7 @@ ParallelSolver::ParallelSolver(ParallelConfig config)
     pool_ = std::make_unique<ClausePool>(config_.num_workers,
                                          config_.shard_capacity);
     threads_ = std::make_unique<runtime::ThreadPool>(config_.num_workers);
+    cursors_.resize(static_cast<std::size_t>(config_.num_workers));
     for (int i = 0; i < config_.num_workers; ++i) {
       Solver& w = *workers_[static_cast<std::size_t>(i)];
       w.set_export_hook([this, i](std::span<const Lit> lits,
@@ -241,19 +251,9 @@ ParallelSolver::~ParallelSolver() = default;
 
 Var ParallelSolver::new_var() {
   const Var v = workers_[0]->new_var();
-  for (std::size_t i = 1; i < workers_.size(); ++i) {
-    const Var vi = workers_[i]->new_var();
-    assert(vi == v);
-    (void)vi;
-    if (config_.diversify) {
-      // Phase jitter: workers start their first descent into different
-      // corners of the assignment space (decisions otherwise cluster on the
-      // all-false default and the workers shadow each other).
-      const std::uint64_t h =
-          splitmix64((static_cast<std::uint64_t>(i) << 32) ^
-                     static_cast<std::uint64_t>(v));
-      workers_[i]->set_phase(v, (h & 1u) != 0);
-    }
+  if (workers_.size() > 1) {
+    log_.push_back(
+        Edit{EditOp::kNewVar, false, static_cast<std::uint32_t>(v)});
   }
   occurrences_.push_back(0);
   return v;
@@ -265,15 +265,58 @@ bool ParallelSolver::add_clause(Clause clause) {
   for (const Lit l : clause) {
     occurrences_[static_cast<std::size_t>(l.var())] += 1;
   }
-  // Workers may disagree on the return value (each filters against its own
-  // root-level facts), but the formulas stay equivalent; report false if
-  // any worker proved UNSAT.
-  bool ok = true;
-  for (std::size_t i = 1; i < workers_.size(); ++i) {
-    ok = workers_[i]->add_clause(clause) && ok;
+  if (workers_.size() > 1) {
+    log_.push_back(Edit{EditOp::kClause, false,
+                        static_cast<std::uint32_t>(clause.size())});
+    log_lits_.insert(log_lits_.end(), clause.begin(), clause.end());
   }
-  ok = workers_[0]->add_clause(std::move(clause)) && ok;
-  return ok;
+  return workers_[0]->add_clause(std::move(clause));
+}
+
+bool ParallelSolver::catch_up(int i) {
+  Solver& w = *workers_[static_cast<std::size_t>(i)];
+  Cursor& cur = cursors_[static_cast<std::size_t>(i)];
+  while (cur.edit < log_.size()) {
+    if (stop_.load(std::memory_order_relaxed)) return false;
+    const Edit& e = log_[cur.edit++];
+    switch (e.op) {
+      case EditOp::kNewVar: {
+        const Var v = w.new_var();
+        assert(v == static_cast<Var>(e.arg));
+        if (config_.diversify) w.set_phase(v, jitter_phase(i, v));
+        break;
+      }
+      case EditOp::kClause: {
+        const auto first =
+            log_lits_.begin() + static_cast<std::ptrdiff_t>(cur.lit);
+        w.add_clause(Clause(first, first + e.arg));
+        cur.lit += e.arg;
+        break;
+      }
+      case EditOp::kPhase:
+        w.set_phase(static_cast<Var>(e.arg), e.phase);
+        break;
+    }
+  }
+  return true;
+}
+
+void ParallelSolver::trim_log() {
+  // Literal offsets grow with the record index, so the furthest-behind
+  // worker also holds the smallest literal offset.
+  Cursor low{log_.size(), log_lits_.size()};
+  for (std::size_t i = 1; i < cursors_.size(); ++i) {
+    if (cursors_[i].edit < low.edit) low = cursors_[i];
+  }
+  if (low.edit == 0) return;
+  log_.erase(log_.begin(),
+             log_.begin() + static_cast<std::ptrdiff_t>(low.edit));
+  log_lits_.erase(log_lits_.begin(),
+                  log_lits_.begin() + static_cast<std::ptrdiff_t>(low.lit));
+  for (std::size_t i = 1; i < cursors_.size(); ++i) {
+    cursors_[i].edit -= low.edit;
+    cursors_[i].lit -= low.lit;
+  }
 }
 
 bool ParallelSolver::value_of(Var v) const {
@@ -285,7 +328,11 @@ std::vector<bool> ParallelSolver::model() const {
 }
 
 void ParallelSolver::set_phase(Var v, bool phase) {
-  for (auto& w : workers_) w->set_phase(v, phase);
+  workers_[0]->set_phase(v, phase);
+  if (workers_.size() > 1) {
+    log_.push_back(
+        Edit{EditOp::kPhase, phase, static_cast<std::uint32_t>(v)});
+  }
 }
 
 void ParallelSolver::set_conflict_budget(std::uint64_t max_conflicts) {
@@ -335,9 +382,15 @@ std::size_t ParallelSolver::num_learnts() const {
 }
 
 std::size_t ParallelSolver::memory_bytes() const {
-  std::size_t total = 0;
+  std::size_t total = log_.capacity() * sizeof(Edit) +
+                      log_lits_.capacity() * sizeof(Lit);
   for (const auto& w : workers_) total += w->memory_bytes();
   return total;
+}
+
+const ParallelStats& ParallelSolver::parallel_stats() const {
+  pstats_.pending_edits = log_.size();
+  return pstats_;
 }
 
 void ParallelSolver::set_split_candidates(std::vector<Var> candidates) {
@@ -412,7 +465,14 @@ void ParallelSolver::worker_run_cubes(int i,
       return;
     }
     if (r == LBool::kFalse) {
-      cubes_unsat_.fetch_add(1, std::memory_order_relaxed);
+      // The cubes partition the space over the split variables: once every
+      // cube is refuted, no assignment anywhere satisfies the formula plus
+      // the assumptions — decisive, so workers still replaying stop too.
+      if (cubes_unsat_.fetch_add(1, std::memory_order_relaxed) + 1 ==
+          cubes_.size()) {
+        record_decisive(i, LBool::kFalse);
+        return;
+      }
       continue;
     }
     return;  // kUndef: deadline / interrupt / budget — give up this worker
@@ -496,14 +556,26 @@ LBool ParallelSolver::solve(std::span<const Lit> assumptions) {
     w->set_interrupt_chain(interrupt_primary_, interrupt_secondary_, &stop_);
   }
   pstats_.parallel_solves += 1;
+  std::size_t applied_before = 0;
+  for (const Cursor& c : cursors_) applied_before += c.edit;
   for (int i = 0; i < num_workers(); ++i) {
-    if (cube_mode) {
-      threads_->submit([this, i, &base] { worker_run_cubes(i, base); });
-    } else {
-      threads_->submit([this, i, &base] { worker_run_share(i, base); });
-    }
+    // Workers 1..K-1 first apply the edits they have not seen, in parallel
+    // on their own threads; one cut short by a decisive worker skips its
+    // search and resumes replaying at the next fan-out.
+    threads_->submit([this, i, cube_mode, &base] {
+      if (i > 0 && !catch_up(i)) return;
+      if (cube_mode) {
+        worker_run_cubes(i, base);
+      } else {
+        worker_run_share(i, base);
+      }
+    });
   }
   threads_->wait_idle();
+  std::size_t applied_after = 0;
+  for (const Cursor& c : cursors_) applied_after += c.edit;
+  pstats_.replayed_edits += applied_after - applied_before;
+  trim_log();
 
   pstats_.cubes_unsat += cubes_unsat_.load(std::memory_order_relaxed);
   const int w = winner_.load(std::memory_order_acquire);
@@ -514,13 +586,6 @@ LBool ParallelSolver::solve(std::span<const Lit> assumptions) {
     return decisive_result_;
   }
   pstats_.last_winner = -1;
-  if (cube_mode &&
-      cubes_unsat_.load(std::memory_order_relaxed) == cubes_.size()) {
-    // The cubes partition the space over the split variables: all-UNSAT
-    // means no assignment anywhere satisfies the formula + assumptions.
-    last_stop_ = StopReason::kNone;
-    return LBool::kFalse;
-  }
   // Nobody was decisive: every worker stopped on a budget. Surface a real
   // stop reason — a worker halted by our own stop_ flag reports kInterrupt,
   // but with no winner stop_ was never raised, so any kInterrupt left here

@@ -1,11 +1,21 @@
 // In-process parallel SAT: clause-sharing portfolio and cube-and-conquer.
 //
 // ParallelSolver runs K CDCL workers over *one* formula: every new_var /
-// add_clause call is mirrored to all workers, so each worker owns an
-// identical clause stream and anything a worker learns is a logical
-// consequence of the shared formula. That makes clause exchange sound by
-// construction — unlike sharing across independent attack racers, whose
-// DIP constraints (and hence learnt clauses) diverge after one iteration.
+// add_clause / set_phase call reaches every worker in the same order, so
+// each worker owns the same clause stream and anything a worker learns is a
+// logical consequence of the shared formula. That makes clause exchange
+// sound by construction — unlike sharing across independent attack racers,
+// whose DIP constraints (and hence learnt clauses) diverge after one
+// iteration.
+//
+// Worker 0 applies each edit as it arrives; workers 1..K-1 are lazy. The
+// edits are appended to one edit log (a flat literal array plus compact
+// records, no allocation per clause), and a lagging worker replays its part
+// of the log on its own pool thread only when a solve fans out — so the
+// long stream of DIP solves answered inline by worker 0 never pays for the
+// other K-1 copies of the formula. A worker still replaying when another
+// worker is decisive stops at an edit boundary and keeps its place; the log
+// prefix every worker has applied is dropped after each fan-out.
 //
 // Two cooperative modes (plus the attack-level race that does not use this
 // class at all):
@@ -142,10 +152,11 @@ struct ParallelConfig {
   // Adaptive fan-out: every solve() first runs worker 0 inline under this
   // conflict budget and only fans out (share or cubes) when the budget
   // trips. Oracle-guided attacks issue a long stream of easy DIP solves
-  // before one hard UNSAT proof; the probe keeps the easy stream free of
-  // parallel overhead and escalates exactly the hard tail — with worker 0's
-  // VSIDS activity freshly focused on it, which is what the cube splitter
-  // ranks by. 0 = fan out every solve.
+  // before one hard UNSAT proof; the probe answers the easy stream on
+  // worker 0 alone (the other workers do not even apply its clauses until
+  // a fan-out) and escalates exactly the hard tail — with worker 0's VSIDS
+  // activity freshly focused on it, which is what the cube splitter ranks
+  // by. 0 = fan out every solve.
   std::uint64_t inline_budget = 2000;
 };
 
@@ -160,6 +171,12 @@ struct ParallelStats {
   std::uint64_t probe_escalations = 0;
   std::uint64_t cubes_dispatched = 0;
   std::uint64_t cubes_unsat = 0;
+  // Logged edits (new_var / add_clause / set_phase calls) that lagging
+  // workers applied while catching up, summed over workers and fan-outs.
+  std::uint64_t replayed_edits = 0;
+  // Edits still in the log: those the furthest-behind worker has not
+  // applied yet (0 right after a fan-out in which every worker caught up).
+  std::uint64_t pending_edits = 0;
   int last_winner = -1;        // worker index of the last decisive solve
   std::size_t last_num_cubes = 0;
 };
@@ -173,6 +190,10 @@ class ParallelSolver final : public SolverIface {
 
   Var new_var() override;
   int num_vars() const override;
+  // Returns worker 0's verdict: false iff worker 0 found the formula UNSAT
+  // at the root. Lagging workers apply the clause at the next fan-out; a
+  // root-level contradiction that only one of them derives (from units it
+  // learnt itself) surfaces as kFalse from that solve().
   bool add_clause(Clause clause) override;
   using SolverIface::add_clause;
   LBool solve(std::span<const Lit> assumptions = {}) override;
@@ -198,12 +219,32 @@ class ParallelSolver final : public SolverIface {
   void set_split_candidates(std::vector<Var> candidates);
 
   int num_workers() const { return static_cast<int>(workers_.size()); }
-  const ParallelStats& parallel_stats() const { return pstats_; }
+  const ParallelStats& parallel_stats() const;
   // nullptr at width 1 (no exchange exists on the fast path).
   const ClausePool* pool() const { return pool_.get(); }
 
  private:
+  // One logged edit. A clause's literals are the next `arg` entries of
+  // log_lits_ (so a record never owns memory); new_var and set_phase carry
+  // the variable in `arg`.
+  enum class EditOp : std::uint8_t { kNewVar, kClause, kPhase };
+  struct Edit {
+    EditOp op;
+    bool phase;         // kPhase only
+    std::uint32_t arg;  // kClause: literal count; otherwise the variable
+  };
+  // A lagging worker's position in the log: the next record and the offset
+  // of that record's literals (if it is a clause).
+  struct Cursor {
+    std::size_t edit = 0;
+    std::size_t lit = 0;
+  };
+
   LBool solve_inline(std::span<const Lit> assumptions);
+  // Replays worker i's pending edits on the calling thread, stopping early
+  // (at an edit boundary) once stop_ is raised. True iff it caught up.
+  bool catch_up(int i);
+  void trim_log();
   void worker_run_share(int i, const std::vector<Lit>& assumptions);
   void worker_run_cubes(int i, const std::vector<Lit>& assumptions);
   void record_decisive(int i, LBool result);
@@ -217,6 +258,12 @@ class ParallelSolver final : public SolverIface {
   std::vector<Var> split_candidates_;
   std::vector<std::uint32_t> occurrences_;  // per-var, bumped in add_clause
 
+  // Edit log for workers 1..K-1 (unused at width 1). cursors_[i] is worker
+  // i's replay position; cursors_[0] is unused because worker 0 is eager.
+  std::vector<Edit> log_;
+  std::vector<Lit> log_lits_;
+  std::vector<Cursor> cursors_;
+
   // Budgets forwarded to workers at every solve().
   std::uint64_t conflict_budget_ = 0;
   std::optional<std::chrono::steady_clock::time_point> deadline_;
@@ -226,7 +273,8 @@ class ParallelSolver final : public SolverIface {
   // Per-solve race state. `winner_` is CAS-claimed by the first decisive
   // worker, which then writes `decisive_result_` and raises `stop_` — the
   // thread pool's wait provides the happens-before edge back to the
-  // coordinating thread.
+  // coordinating thread. `stop_` also cuts short the catch-up replays, so
+  // a fan-out that worker 0 decides quickly does not wait for them.
   std::atomic<bool> stop_{false};
   std::atomic<int> winner_{-1};
   LBool decisive_result_ = LBool::kUndef;
@@ -237,7 +285,7 @@ class ParallelSolver final : public SolverIface {
   int model_source_ = 0;  // worker whose model value_of()/model() read
   StopReason last_stop_ = StopReason::kNone;
   mutable SolverStats agg_stats_;  // rebuilt on stats()
-  ParallelStats pstats_;
+  mutable ParallelStats pstats_;   // pending_edits refreshed on read
 };
 
 }  // namespace fl::sat

@@ -671,11 +671,15 @@ void Solver::reduce_db() {
             });
   for (std::size_t i = 0; i < target; ++i) cls(reducible[i]).set_condemned();
 
-  // Batch watcher removal: one pass over the long watch lists beats a
-  // per-clause detach (which re-searches a list per deletion) by orders of
-  // magnitude when thousands of clauses go at once. Victims all have size
-  // > 2, so the binary lists are untouched.
-  if (target > 0) filter_condemned_watchers(/*bins_too=*/false);
+  // Batch watcher removal: one pass over each affected long watch list
+  // beats a per-clause detach (which re-searches a list per deletion) by
+  // orders of magnitude when thousands of clauses go at once. Victims all
+  // have size > 2, so the binary lists are untouched.
+  if (target > 0) {
+    filter_condemned_watchers(
+        {std::span<const ClauseRef>(reducible.data(), target)},
+        /*bins_too=*/false);
+  }
 
   std::size_t out = 0, removed = 0;
   for (const ClauseRef r : learnt_clauses_) {
@@ -694,8 +698,15 @@ void Solver::reduce_db() {
   maybe_garbage_collect();
 }
 
-void Solver::filter_condemned_watchers(bool bins_too) {
-  for (WatchNode& wn : watches_) {
+void Solver::filter_condemned_watchers(
+    std::initializer_list<std::span<const ClauseRef>> dbs, bool bins_too) {
+  // A clause is watched only through its first two literals (the 2WL
+  // invariant detach() relies on too), so only the lists of those literals
+  // can hold a condemned watcher. Both lists of each such variable are
+  // compacted once, in order: every list comes out exactly as a sweep over
+  // all watch nodes would leave it, and the other lists are not visited.
+  // seen_ (all zero outside conflict analysis) marks the variables done.
+  const auto compact = [&](WatchNode& wn) {
     if (bins_too) {
       std::size_t out = 0;
       for (const BinWatch& bw : wn.bins) {
@@ -708,6 +719,24 @@ void Solver::filter_condemned_watchers(bool bins_too) {
       if (!cls(w.ref).condemned()) wn.longs[out++] = w;
     }
     wn.longs.resize(out);
+  };
+  for (const std::span<const ClauseRef> db : dbs) {
+    for (const ClauseRef r : db) {
+      const Cls c = cls(r);
+      if (!c.condemned()) continue;
+      for (const Var v : {c.lit(0).var(), c.lit(1).var()}) {
+        if (seen_[v] != 0) continue;
+        seen_[v] = 1;
+        compact(watches_[2 * static_cast<std::size_t>(v)]);
+        compact(watches_[2 * static_cast<std::size_t>(v) + 1]);
+      }
+    }
+  }
+  for (const std::span<const ClauseRef> db : dbs) {
+    for (const ClauseRef r : db) {
+      const Cls c = cls(r);
+      if (c.condemned()) seen_[c.lit(0).var()] = seen_[c.lit(1).var()] = 0;
+    }
   }
 }
 
@@ -785,7 +814,10 @@ void Solver::simplify() {
   };
   mark(problem_clauses_);
   mark(learnt_clauses_);
-  if (num_satisfied > 0) filter_condemned_watchers(/*bins_too=*/true);
+  if (num_satisfied > 0) {
+    filter_condemned_watchers({problem_clauses_, learnt_clauses_},
+                              /*bins_too=*/true);
+  }
 
   const auto clean = [&](std::vector<ClauseRef>& db, bool problem) {
     std::size_t out = 0;

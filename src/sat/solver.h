@@ -33,6 +33,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <optional>
 #include <span>
 #include <vector>
@@ -227,7 +228,11 @@ class Solver final : public SolverIface {
   void reduce_db();
   void attach(ClauseRef r);
   void detach(ClauseRef r);
-  void filter_condemned_watchers(bool bins_too);
+  // Drops the watchers of every condemned clause in `dbs` from the lists
+  // that can hold them; long lists always, binary lists too when
+  // `bins_too`.
+  void filter_condemned_watchers(
+      std::initializer_list<std::span<const ClauseRef>> dbs, bool bins_too);
   LBool value(Lit l) const;
   LBool search();
   bool budget_exhausted(bool force_deadline_check = false) const;

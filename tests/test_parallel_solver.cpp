@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <random>
 #include <vector>
 
 #include "attacks/oracle.h"
@@ -314,6 +315,305 @@ TEST(ParallelSolver, AggregatesWorkerCounters) {
   EXPECT_GT(stats.propagations, 0u);
   EXPECT_GE(par.parallel_stats().last_winner, 0);
   EXPECT_LT(par.parallel_stats().last_winner, 3);
+}
+
+// --- Lazy workers: edit log, catch-up, accounting ------------------------
+
+bool satisfies_under(const Cnf& cnf, const std::vector<bool>& model,
+                     const std::vector<Lit>& assumptions) {
+  for (const Lit a : assumptions) {
+    if (model[a.var()] == a.negated()) return false;
+  }
+  return satisfies(cnf, model);
+}
+
+// A seeded incremental session applied call-for-call to a reference Solver
+// and a ParallelSolver: growing variable count, random 3-clauses with the
+// odd binary, phase hints, and solves under 0..3 assumption literals.
+// `formula` mirrors every clause added, for the model checks.
+class Session {
+ public:
+  Session(Solver& ref, ParallelSolver& par, std::uint64_t seed)
+      : ref_(ref), par_(par), rng_(seed) {}
+
+  void add_vars(int n) {
+    for (int i = 0; i < n; ++i) {
+      const Var a = ref_.new_var();
+      const Var b = par_.new_var();
+      ASSERT_EQ(a, b);
+      formula.num_vars = a + 1;
+    }
+  }
+
+  // Returns the two add_clause verdicts. They may differ once workers have
+  // shared clauses: worker 0 can hold root facts the reference never
+  // derived (and the reverse), so only the next solve must agree.
+  std::pair<bool, bool> add(const Clause& clause) {
+    formula.clauses.push_back(clause);
+    return {ref_.add_clause(clause), par_.add_clause(clause)};
+  }
+
+  Lit random_lit() {
+    return Lit(static_cast<Var>(rng_() % formula.num_vars), (rng_() & 1) != 0);
+  }
+
+  void add_random_clauses(int n) {
+    for (int i = 0; i < n; ++i) {
+      const int width = rng_() % 12 == 0 ? 2 : 3;
+      Clause c;
+      while (static_cast<int>(c.size()) < width) {
+        const Lit l = random_lit();
+        bool clash = false;
+        for (const Lit x : c) clash = clash || x.var() == l.var();
+        if (!clash) c.push_back(l);
+      }
+      add(c);
+    }
+  }
+
+  void maybe_set_phase() {
+    if (rng_() % 4 != 0) return;
+    const Var v = static_cast<Var>(rng_() % formula.num_vars);
+    const bool phase = (rng_() & 1) != 0;
+    ref_.set_phase(v, phase);
+    par_.set_phase(v, phase);
+  }
+
+  std::vector<Lit> random_assumptions() {
+    std::vector<Lit> out;
+    const int n = static_cast<int>(rng_() % 4);
+    while (static_cast<int>(out.size()) < n) {
+      const Lit l = random_lit();
+      bool clash = false;
+      for (const Lit x : out) clash = clash || x.var() == l.var();
+      if (!clash) out.push_back(l);
+    }
+    return out;
+  }
+
+  // Solves both under the same assumptions and checks the answers agree
+  // and every model satisfies the formula plus the assumptions.
+  LBool solve_and_compare(const std::vector<Lit>& assumptions) {
+    const LBool expected = ref_.solve(assumptions);
+    const LBool got = par_.solve(assumptions);
+    EXPECT_NE(expected, LBool::kUndef);
+    EXPECT_EQ(got, expected);
+    if (got == LBool::kTrue) {
+      EXPECT_TRUE(satisfies_under(formula, par_.model(), assumptions));
+    }
+    if (expected == LBool::kTrue) {
+      EXPECT_TRUE(satisfies_under(formula, ref_.model(), assumptions));
+    }
+    return got;
+  }
+
+  Cnf formula;
+
+ private:
+  Solver& ref_;
+  ParallelSolver& par_;
+  std::mt19937_64 rng_;
+};
+
+// inline_budget = 1 fans out every solve that needs a conflict and keeps
+// the conflict-free ones inline, so lagging workers see gaps of every size
+// between fan-outs. inline_budget = 0 fans out every solve, and every
+// eighth round adds a fan-out nobody can decide (its deadline has passed):
+// nothing stops the replays, so every lagging worker applies the whole log
+// and the next fan-outs race workers only a few edits behind.
+void expect_incremental_agreement(ParMode mode, std::uint64_t inline_budget,
+                                  std::uint64_t seed) {
+  ParallelConfig config;
+  config.num_workers = 4;
+  config.mode = mode;
+  config.cube_depth = 2;
+  config.inline_budget = inline_budget;
+  Solver ref;
+  ParallelSolver par(config);
+  Session session(ref, par, seed);
+  session.add_vars(170);
+  par.set_split_candidates({0, 1, 2, 3, 4, 5, 6, 7});
+  session.add_random_clauses(540);
+  for (int round = 0; round < 30; ++round) {
+    session.add_vars(1);
+    session.add_random_clauses(3);
+    session.maybe_set_phase();
+    session.solve_and_compare(session.random_assumptions());
+    if (inline_budget == 0 && round % 8 == 7) {
+      par.set_deadline(std::chrono::steady_clock::now() -
+                       std::chrono::milliseconds(1));
+      // Nothing can be decisive only while the formula itself is SAT.
+      ASSERT_EQ(ref.solve(), LBool::kTrue);
+      EXPECT_EQ(par.solve(), LBool::kUndef);
+      EXPECT_EQ(par.parallel_stats().pending_edits, 0u);
+      par.set_deadline(std::nullopt);
+    }
+  }
+  EXPECT_GT(par.parallel_stats().parallel_solves, 0u);
+  if (inline_budget > 0) {
+    EXPECT_GT(par.parallel_stats().inline_solves, 0u);
+  } else {
+    EXPECT_GT(par.parallel_stats().replayed_edits, 0u);
+  }
+
+  // A late contradiction while workers 1..K-1 lag: every sign pattern over
+  // three variables. No root propagation sees it, so the solve must search
+  // (and fan out) to refute it, and no lagging worker has applied it yet.
+  const Var a = 3, b = 17, c = 41;
+  for (int mask = 0; mask < 8; ++mask) {
+    session.add({Lit(a, (mask & 1) != 0), Lit(b, (mask & 2) != 0),
+                 Lit(c, (mask & 4) != 0)});
+  }
+  ASSERT_GE(par.parallel_stats().pending_edits, 8u);
+  EXPECT_EQ(session.solve_and_compare({}), LBool::kFalse);
+  EXPECT_EQ(session.solve_and_compare(session.random_assumptions()),
+            LBool::kFalse);
+}
+
+TEST(ParallelSolver, IncrementalShareAgreesWithSequential) {
+  for (const std::uint64_t inline_budget : {1, 0}) {
+    for (const std::uint64_t seed : {1, 2, 3}) {
+      SCOPED_TRACE(testing::Message() << "inline_budget " << inline_budget
+                                      << " seed " << seed);
+      expect_incremental_agreement(ParMode::kShare, inline_budget, seed);
+    }
+  }
+}
+
+TEST(ParallelSolver, IncrementalCubesAgreesWithSequential) {
+  for (const std::uint64_t inline_budget : {1, 0}) {
+    for (const std::uint64_t seed : {1, 2, 3}) {
+      SCOPED_TRACE(testing::Message() << "inline_budget " << inline_budget
+                                      << " seed " << seed);
+      expect_incremental_agreement(ParMode::kCubes, inline_budget, seed);
+    }
+  }
+}
+
+TEST(ParallelSolver, NoEscalationMatchesPlainSolverExactly) {
+  // With a probe budget no solve can trip, a K-worker solver must be
+  // worker 0 alone: same answers, same models and the same aggregated
+  // search counters as a plain Solver on the base configuration — so the
+  // idle workers do no work at all, not even unit propagation of the
+  // clauses they will only apply at a fan-out.
+  ParallelConfig config;
+  config.num_workers = 4;
+  config.mode = ParMode::kShare;
+  config.inline_budget = std::uint64_t{1} << 40;
+  Solver ref(config.base);
+  ParallelSolver par(config);
+  Session session(ref, par, 7);
+  session.add_vars(80);
+  session.add_random_clauses(260);
+  std::uint64_t edits = 80 + 260;
+  for (int round = 0; round < 30; ++round) {
+    session.add_vars(3);
+    session.add_random_clauses(9);
+    // Units propagate at add time: idle workers must not.
+    const auto [ref_ok, par_ok] = session.add({session.random_lit()});
+    ASSERT_EQ(par_ok, ref_ok) << "round " << round;
+    edits += 3 + 9 + 1;
+    const std::vector<Lit> assumptions = session.random_assumptions();
+    const LBool expected = ref.solve(assumptions);
+    ASSERT_EQ(par.solve(assumptions), expected) << "round " << round;
+    if (expected == LBool::kTrue) {
+      ASSERT_EQ(par.model(), ref.model()) << "round " << round;
+    }
+    const CounterSnapshot want = ref.counters();
+    const CounterSnapshot got = par.counters();
+    ASSERT_EQ(got.decisions, want.decisions) << "round " << round;
+    ASSERT_EQ(got.propagations, want.propagations) << "round " << round;
+    ASSERT_EQ(got.conflicts, want.conflicts) << "round " << round;
+  }
+  EXPECT_EQ(par.stats().decisions, ref.stats().decisions);
+  EXPECT_EQ(par.parallel_stats().parallel_solves, 0u);
+  EXPECT_EQ(par.parallel_stats().replayed_edits, 0u);
+  EXPECT_EQ(par.parallel_stats().pending_edits, edits);
+}
+
+TEST(ParallelSolver, EditLogIsCountedAndEmptiedOnceEveryWorkerSyncs) {
+  const Cnf cnf = phase_transition_cnf(90, 3);
+  std::size_t literals = 0;
+  for (const Clause& c : cnf.clauses) literals += c.size();
+  const std::uint64_t edits = static_cast<std::uint64_t>(cnf.num_vars) +
+                              cnf.clauses.size();
+
+  ParallelConfig config;
+  config.num_workers = 3;
+  config.mode = ParMode::kShare;
+  config.inline_budget = 0;
+  ParallelSolver par(config);
+  load(par, cnf);
+  Solver seq;
+  load(seq, cnf);
+  EXPECT_EQ(par.parallel_stats().pending_edits, edits);
+  EXPECT_EQ(par.parallel_stats().replayed_edits, 0u);
+  // Worker 0 holds what a plain Solver holds; the log holds at least every
+  // clause literal once more.
+  EXPECT_GE(par.memory_bytes(), seq.memory_bytes() + literals * sizeof(Lit));
+
+  // A deadline already in the past: no worker can be decisive, so nothing
+  // raises the stop flag and every lagging worker replays the whole log.
+  par.set_deadline(std::chrono::steady_clock::now() -
+                   std::chrono::milliseconds(1));
+  EXPECT_EQ(par.solve(), LBool::kUndef);
+  EXPECT_EQ(par.parallel_stats().parallel_solves, 1u);
+  EXPECT_EQ(par.parallel_stats().replayed_edits, 2 * edits);
+  EXPECT_EQ(par.parallel_stats().pending_edits, 0u);
+
+  // New edits are pending again until the next fan-out.
+  par.set_deadline(std::nullopt);
+  const Var v = par.new_var();
+  par.add_clause({pos(v), neg(0)});
+  par.set_phase(v, true);
+  EXPECT_EQ(par.parallel_stats().pending_edits, 3u);
+  EXPECT_EQ(par.solve(), seq.solve());
+  EXPECT_LE(par.parallel_stats().pending_edits, 3u);
+}
+
+TEST(ParallelSolver, InterruptedCatchUpResumesWhereItStopped) {
+  // Easy solves that worker 0 answers at once cut the other workers'
+  // replays short, wherever they happen to be. Their cursors must keep
+  // the place: once a final fan-out lets everyone finish, every worker has
+  // applied every edit exactly once.
+  ParallelConfig config;
+  config.num_workers = 4;
+  config.mode = ParMode::kShare;
+  config.inline_budget = 0;
+  ParallelSolver par(config);
+  Solver seq;
+  std::uint64_t edits = 0;
+  const auto both_var = [&] {
+    seq.new_var();
+    ++edits;
+    return par.new_var();
+  };
+  const auto both_clause = [&](const Clause& c) {
+    seq.add_clause(c);
+    par.add_clause(c);
+    ++edits;
+  };
+  Var prev = both_var();
+  for (int round = 0; round < 6; ++round) {
+    // An implication chain: satisfiable, decided without a conflict.
+    for (int i = 0; i < 4000; ++i) {
+      const Var v = both_var();
+      both_clause({neg(prev), pos(v)});
+      prev = v;
+    }
+    EXPECT_EQ(par.solve(), LBool::kTrue);
+    EXPECT_EQ(seq.solve(), LBool::kTrue);
+  }
+  par.set_deadline(std::chrono::steady_clock::now() -
+                   std::chrono::milliseconds(1));
+  EXPECT_EQ(par.solve(), LBool::kUndef);
+  EXPECT_EQ(par.parallel_stats().pending_edits, 0u);
+  EXPECT_EQ(par.parallel_stats().replayed_edits, 3 * edits);
+  par.set_deadline(std::nullopt);
+  both_clause({pos(0)});
+  both_clause({neg(prev)});
+  EXPECT_EQ(par.solve(), LBool::kFalse);
+  EXPECT_EQ(seq.solve(), LBool::kFalse);
 }
 
 // --- Attack-level integration: share and cubes end to end ----------------
